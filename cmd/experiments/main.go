@@ -10,9 +10,11 @@
 //
 // Experiment IDs: table2, fig4, fig5, fig6, fig7a, fig7b, table3, fig8a,
 // fig8bcd, fig9a, fig9b, fig10, fig11a, fig11b, ablation-noise,
-// ablation-global, ged-bench, admission-bench, nn-bench, service-bench,
-// chaos-bench, scenario-bench, all ("all" excludes the explicit
-// benchmarks; run them explicitly).
+// ablation-global, ged-bench, admission-bench, nn-bench, chaos-bench,
+// all ("all" excludes the explicit benchmarks; run them explicitly).
+// Each explicit benchmark returns an error on any differential
+// mismatch, so a zero exit status is the pass signal. Serving-path
+// performance is measured by bash bench/run.sh, not here.
 //
 // -workers bounds the fan-out of each parallel stage (concurrent
 // drivers, experiment cells, corpus samples, GED pairs, per-cluster
@@ -32,30 +34,17 @@
 // incremental cluster maintainer (pivot index + learned GED band over a
 // bounded cache) timed against a global K-means re-run, with sampled
 // assignments differentially verified against the canonical center
-// scan, plus concurrent service Register throughput under a capped
-// admission cache. The two sections are read-modify-written so either
-// bench can be refreshed alone.
+// scan. The two sections are read-modify-written so either bench can be
+// refreshed alone.
 // The nn-bench experiment writes BENCH_nn.json: seed-vs-compiled-plan
-// wall clock for GNN pre-training, ZeroTune cost-model training, and
-// online-tuning inference, with bit-identical-result cross-checks.
-// The service-bench experiment writes BENCH_service.json: N concurrent
-// jobs tuned through the multi-tenant service (jobs/sec, recommend
-// latency quantiles, shared-artifact hit rates), cross-checked
-// bit-for-bit against sequential single-job Tuner runs, plus a small
-// embedded crash-recovery soak (recovery_cross_checks must be nonzero).
+// wall clock for GNN pre-training and ZeroTune cost-model training,
+// with bit-identical-result cross-checks.
 // The chaos-bench experiment writes BENCH_chaos.json: the full
 // crash-recovery soak — the service is killed at -chaos-kills random
 // points mid-tuning, checkpoint writes fail and checkpoint files are
 // corrupted on a seeded schedule, and every restart must resume from
 // the newest valid checkpoint with recommendations bit-identical to an
 // uninterrupted run.
-// The scenario-bench experiment writes BENCH_scenarios.json: the
-// adversarial-traffic suite — bursty, diurnal, and skewed-key rate
-// traces driven through StreamTune and the DS2 / ContTune baselines,
-// each with a seeded mid-stream DAG mutation, reporting per-cell
-// reconfiguration and backpressure counts plus a differential check
-// that the service's PATCH-topology warm start converges bit-identically
-// to tuning the mutated job from scratch.
 package main
 
 import (
@@ -72,6 +61,7 @@ import (
 
 	"github.com/streamtune/streamtune/internal/experiments"
 	"github.com/streamtune/streamtune/internal/parallel"
+	"github.com/streamtune/streamtune/internal/service"
 )
 
 // allDrivers is the fixed rendering order of -exp all.
@@ -98,15 +88,10 @@ func main() {
 	benchOut := flag.String("bench-out", "BENCH_experiments.json", "wall-clock summary path (empty to disable)")
 	gedBenchOut := flag.String("ged-bench-out", "BENCH_ged.json", "ged-bench report path (empty to disable)")
 	nnBenchOut := flag.String("nn-bench-out", "BENCH_nn.json", "nn-bench report path (empty to disable)")
-	serviceBenchOut := flag.String("service-bench-out", "BENCH_service.json", "service-bench report path (empty to disable)")
-	serviceJobs := flag.Int("service-jobs", 0, "service-bench concurrent jobs (0 = 16)")
 	chaosBenchOut := flag.String("chaos-bench-out", "BENCH_chaos.json", "chaos-bench report path (empty to disable)")
 	chaosJobs := flag.Int("chaos-jobs", 4, "chaos-bench tenant count")
 	chaosKills := flag.Int("chaos-kills", 24, "chaos-bench injected service kills")
 	chaosSeed := flag.Int64("chaos-seed", 1, "chaos-bench fault-schedule seed")
-	admissionRegisters := flag.Int("admission-registers", 16, "admission-bench concurrent service Register calls")
-	scenarioBenchOut := flag.String("scenario-bench-out", "BENCH_scenarios.json", "scenario-bench report path (empty to disable)")
-	scenarioSteps := flag.Int("scenario-steps", 0, "scenario-bench trace length (0 = 48)")
 	flag.Parse()
 
 	opts := experiments.Full()
@@ -122,27 +107,13 @@ func main() {
 		NumCPU:        runtime.NumCPU(),
 		DriverSeconds: make(map[string]float64),
 	}
-	// 16 jobs over the 8 Flink workloads puts two structural clones on
-	// every fingerprint, so the batched pass exercises real coalescing
-	// (occupancy > 1) even in the -quick CI smoke run.
-	jobs := *serviceJobs
-	if jobs <= 0 {
-		jobs = 16
-	}
-
 	bench := benchTargets{
-		gedOut:      *gedBenchOut,
-		nnOut:       *nnBenchOut,
-		serviceOut:  *serviceBenchOut,
-		chaosOut:    *chaosBenchOut,
-		serviceJobs: jobs,
-		chaosJobs:   *chaosJobs,
-		chaosKills:  *chaosKills,
-		chaosSeed:   *chaosSeed,
-
-		admissionRegisters: *admissionRegisters,
-		scenarioOut:        *scenarioBenchOut,
-		scenarioSteps:      *scenarioSteps,
+		gedOut:     *gedBenchOut,
+		nnOut:      *nnBenchOut,
+		chaosOut:   *chaosBenchOut,
+		chaosJobs:  *chaosJobs,
+		chaosKills: *chaosKills,
+		chaosSeed:  *chaosSeed,
 	}
 
 	start := time.Now()
@@ -151,36 +122,22 @@ func main() {
 	}
 	summary.TotalSeconds = time.Since(start).Seconds()
 
-	if *benchOut != "" {
-		if err := writeBench(*benchOut, summary); err != nil {
-			log.Fatalf("bench summary: %v", err)
-		}
+	if err := writeReport(*benchOut, summary); err != nil {
+		log.Fatalf("bench summary: %v", err)
 	}
-}
-
-func writeBench(path string, s *benchSummary) error {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // benchTargets carries the report destinations and scales of the
 // explicit benchmark experiments.
 type benchTargets struct {
-	gedOut, nnOut, serviceOut, chaosOut string
-	serviceJobs, chaosJobs, chaosKills  int
-	chaosSeed                           int64
-	admissionRegisters                  int
-	scenarioOut                         string
-	scenarioSteps                       int
+	gedOut, nnOut, chaosOut string
+	chaosJobs, chaosKills   int
+	chaosSeed               int64
 }
 
 // updateGEDReport read-modify-writes the combined BENCH_ged.json so
 // ged-bench and admission-bench each refresh their own section without
-// clobbering the other's. A legacy bare-array file is read as the GED
-// section. An empty path disables the write.
+// clobbering the other's. An empty path disables the write.
 func updateGEDReport(path string, mutate func(*experiments.GEDReport)) error {
 	if path == "" {
 		return nil
@@ -189,12 +146,7 @@ func updateGEDReport(path string, mutate func(*experiments.GEDReport)) error {
 	data, err := os.ReadFile(path)
 	switch {
 	case err == nil:
-		trimmed := bytes.TrimSpace(data)
-		if len(trimmed) > 0 && trimmed[0] == '[' {
-			if err := json.Unmarshal(trimmed, &report.GED); err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-		} else if err := json.Unmarshal(data, &report); err != nil {
+		if err := json.Unmarshal(data, &report); err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 	case os.IsNotExist(err):
@@ -205,8 +157,9 @@ func updateGEDReport(path string, mutate func(*experiments.GEDReport)) error {
 	return writeReport(path, &report)
 }
 
-// writeReport marshals a benchmark report to path; an empty path
-// disables the write.
+// writeReport marshals a benchmark report and replaces path atomically,
+// so an interrupted run leaves the previous committed report intact; an
+// empty path disables the write.
 func writeReport(path string, report any) error {
 	if path == "" {
 		return nil
@@ -215,7 +168,7 @@ func writeReport(path string, report any) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return service.WriteFileAtomic(path, append(data, '\n'))
 }
 
 func run(exp string, opts experiments.Options, summary *benchSummary, bench benchTargets) error {
@@ -343,15 +296,6 @@ func run(exp string, opts experiments.Options, summary *benchSummary, bench benc
 			if err := writeReport(bench.nnOut, report); err != nil {
 				return err
 			}
-		case "service-bench":
-			report, err := experiments.ServiceBench(opts, bench.serviceJobs)
-			if err != nil {
-				return err
-			}
-			experiments.ServiceBenchTable(report).Render(out)
-			if err := writeReport(bench.serviceOut, report); err != nil {
-				return err
-			}
 		case "chaos-bench":
 			report, err := experiments.ChaosBench(opts, bench.chaosJobs, bench.chaosKills, bench.chaosSeed)
 			if err != nil {
@@ -359,15 +303,6 @@ func run(exp string, opts experiments.Options, summary *benchSummary, bench benc
 			}
 			experiments.ChaosBenchTable(report).Render(out)
 			if err := writeReport(bench.chaosOut, report); err != nil {
-				return err
-			}
-		case "scenario-bench":
-			report, err := experiments.ScenarioBench(opts, bench.scenarioSteps)
-			if err != nil {
-				return err
-			}
-			experiments.ScenarioBenchTable(report).Render(out)
-			if err := writeReport(bench.scenarioOut, report); err != nil {
 				return err
 			}
 		case "ged-bench":
@@ -390,7 +325,7 @@ func run(exp string, opts experiments.Options, summary *benchSummary, bench benc
 			if opts.CorpusSamples < experiments.Full().CorpusSamples {
 				sizes = []int{160, 320}
 			}
-			report, err := experiments.AdmissionBench(opts, sizes, bench.admissionRegisters)
+			report, err := experiments.AdmissionBench(opts, sizes)
 			if err != nil {
 				return err
 			}

@@ -237,8 +237,6 @@ func cmdServe(args []string) error {
 	evictEvery := fs.Duration("evict-every", time.Minute, "idle-eviction janitor period")
 	batchWindow := fs.Duration("batch-window", 2*time.Millisecond, "cross-tenant inference batching deadline (0 disables batching)")
 	maxBatch := fs.Int("max-batch", 8, "max sessions coalesced into one inference batch")
-	observeBatchWindow := fs.Duration("observe-batch-window", 0, "Observe label-harvest coalescing window (0 disables)")
-	maxObserveBatch := fs.Int("max-observe-batch", 16, "max observations harvested in one pooled task")
 	admissionCacheCap := fs.Int("admission-cache-cap", 0, "admission distance-cache pair capacity; epoch reset on overflow (0 = unbounded)")
 	snapshot := fs.String("snapshot", "", "snapshot path: restored at startup when present, written on shutdown")
 	checkpointDir := fs.String("checkpoint-dir", "", "crash-safe checkpoint directory: restored from at startup, checkpointed to while serving")
@@ -294,21 +292,19 @@ func cmdServe(args []string) error {
 	}
 
 	cfg := service.Config{
-		LeaseTTL:           *lease,
-		MaxSessions:        *maxSessions,
-		Workers:            *workers,
-		BatchWindow:        *batchWindow,
-		MaxBatch:           *maxBatch,
-		ObserveBatchWindow: *observeBatchWindow,
-		MaxObserveBatch:    *maxObserveBatch,
-		AdmissionCacheCap:  *admissionCacheCap,
-		MaxQueue:           *maxQueue,
-		MaxPendingInfer:    *maxPendingInfer,
-		RequestTimeout:     *requestTimeout,
-		RetryAfter:         *retryAfter,
-		Metrics:            service.NewMetrics(telemetry.NewRegistry()),
-		Logs:               ring,
-		Logger:             logger,
+		LeaseTTL:          *lease,
+		MaxSessions:       *maxSessions,
+		Workers:           *workers,
+		BatchWindow:       *batchWindow,
+		MaxBatch:          *maxBatch,
+		AdmissionCacheCap: *admissionCacheCap,
+		MaxQueue:          *maxQueue,
+		MaxPendingInfer:   *maxPendingInfer,
+		RequestTimeout:    *requestTimeout,
+		RetryAfter:        *retryAfter,
+		Metrics:           service.NewMetrics(telemetry.NewRegistry()),
+		Logs:              ring,
+		Logger:            logger,
 	}
 	// Durable state precedence: the checkpoint directory (crash-safe,
 	// rotated, checksummed) wins over the single-file -snapshot, which

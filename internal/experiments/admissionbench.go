@@ -1,18 +1,14 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"github.com/streamtune/streamtune/internal/cluster"
 	"github.com/streamtune/streamtune/internal/dag"
-	"github.com/streamtune/streamtune/internal/engine"
 	"github.com/streamtune/streamtune/internal/ged"
 	"github.com/streamtune/streamtune/internal/parallel"
-	"github.com/streamtune/streamtune/internal/service"
 )
 
 // admissionK is the cluster count the admission bench maintains — the
@@ -81,24 +77,15 @@ type AdmissionBenchRow struct {
 }
 
 // AdmissionBenchReport is the full admission benchmark: the per-scale
-// corpus-growth rows plus one concurrent-Register pass against the
-// multi-tenant service with a capped admission cache.
+// corpus-growth rows. Service-side admission is measured by the
+// benchmark (bench/, ged.assign_us and service.register_ms).
 type AdmissionBenchReport struct {
 	Workers int                 `json:"workers"`
 	Scales  []AdmissionBenchRow `json:"scales"`
-
-	ServiceRegisters            int     `json:"service_registers"`
-	ServiceRegisterSeconds      float64 `json:"service_register_seconds"`
-	RegistersPerSecond          float64 `json:"registers_per_second"`
-	ServiceAdmissionCacheSize   int     `json:"service_admission_cache_size"`
-	ServiceAdmissionCacheCap    int     `json:"service_admission_cache_cap"`
-	ServiceAdmissionCacheResets uint64  `json:"service_admission_cache_resets"`
 }
 
 // GEDReport is the combined BENCH_ged.json shape: the PR2 engine rows
-// under "ged" and the admission benchmark under "admission". Earlier
-// revisions wrote the bare row array; readers tolerate that legacy
-// layout.
+// under "ged" and the admission benchmark under "admission".
 type GEDReport struct {
 	GED       []GEDBenchRow         `json:"ged"`
 	Admission *AdmissionBenchReport `json:"admission,omitempty"`
@@ -107,10 +94,8 @@ type GEDReport struct {
 // AdmissionBench grows a clustered corpus to each size through the
 // Incremental maintainer and times it against periodic global K-means
 // re-runs over the growing corpus, differentially verifying sampled
-// assignments against the canonical center scan. registers concurrent
-// service.Register calls are then driven against a shared service with
-// a capped admission cache.
-func AdmissionBench(opts Options, sizes []int, registers int) (*AdmissionBenchReport, error) {
+// assignments against the canonical center scan.
+func AdmissionBench(opts Options, sizes []int) (*AdmissionBenchReport, error) {
 	report := &AdmissionBenchReport{Workers: parallel.Workers(opts.Parallelism)}
 	for _, size := range sizes {
 		row, err := admissionScale(opts, size)
@@ -118,9 +103,6 @@ func AdmissionBench(opts Options, sizes []int, registers int) (*AdmissionBenchRe
 			return nil, err
 		}
 		report.Scales = append(report.Scales, *row)
-	}
-	if err := admissionRegisters(opts, registers, report); err != nil {
-		return nil, err
 	}
 	return report, nil
 }
@@ -263,56 +245,6 @@ func canonicalNearest(g *dag.Graph, centers []*dag.Graph) (int, float64) {
 	return best, bestD
 }
 
-// admissionRegisters drives concurrent Register calls against one
-// shared service with a capped admission cache and records throughput
-// and cache pressure.
-func admissionRegisters(opts Options, registers int, report *AdmissionBenchReport) error {
-	if registers < 1 {
-		registers = 16
-	}
-	pt, _, err := PreTrain(engine.Flink, opts)
-	if err != nil {
-		return err
-	}
-	jobs, err := serviceBenchJobs(opts, registers)
-	if err != nil {
-		return err
-	}
-	svc, err := service.New(pt, service.Config{Workers: opts.Parallelism, AdmissionCacheCap: 1024})
-	if err != nil {
-		return err
-	}
-	defer svc.Close()
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cfg := engine.DefaultConfig(engine.Flink)
-			cfg.MeasureTicks = opts.MeasureTicks
-			_, errs[i] = svc.Register(context.Background(), jobs[i].id, jobs[i].graph, cfg)
-		}(i)
-	}
-	wg.Wait()
-	report.ServiceRegisterSeconds = time.Since(start).Seconds()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("admissionbench: register %s: %w", jobs[i].id, err)
-		}
-	}
-	report.ServiceRegisters = registers
-	if report.ServiceRegisterSeconds > 0 {
-		report.RegistersPerSecond = float64(registers) / report.ServiceRegisterSeconds
-	}
-	st := svc.Stats()
-	report.ServiceAdmissionCacheSize = st.Admission.CacheSize
-	report.ServiceAdmissionCacheCap = st.Admission.CacheCap
-	report.ServiceAdmissionCacheResets = st.Admission.CacheResets
-	return nil
-}
-
 // AdmissionBenchTable renders the benchmark report.
 func AdmissionBenchTable(r *AdmissionBenchReport) *Table {
 	t := &Table{
@@ -337,13 +269,5 @@ func AdmissionBenchTable(r *AdmissionBenchReport) *Table {
 			fmt.Sprintf("%d exact", row.VerifiedAdds),
 		})
 	}
-	t.Rows = append(t.Rows, []string{
-		"service", fmt.Sprintf("%d regs", r.ServiceRegisters),
-		fmt.Sprintf("%.1f/s", r.RegistersPerSecond),
-		fmt.Sprintf("%.3fs", r.ServiceRegisterSeconds),
-		fmt.Sprintf("cache %d/%d", r.ServiceAdmissionCacheSize, r.ServiceAdmissionCacheCap),
-		fmt.Sprintf("%d resets", r.ServiceAdmissionCacheResets),
-		"", "", "", "",
-	})
 	return t
 }

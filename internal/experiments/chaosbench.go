@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"time"
 
+	"github.com/streamtune/streamtune/internal/dag"
 	"github.com/streamtune/streamtune/internal/engine"
 	"github.com/streamtune/streamtune/internal/faultinject"
 	"github.com/streamtune/streamtune/internal/service"
@@ -62,11 +63,49 @@ type ChaosBenchReport struct {
 	SoakSeconds       float64 `json:"soak_seconds"`
 }
 
+// chaosJob is one soak tenant.
+type chaosJob struct {
+	id    string
+	graph *dag.Graph
+}
+
+// chaosJobs replicates the Flink workloads across rate multipliers
+// until n jobs exist. Structures repeat on purpose: a production tenant
+// population is dominated by clones of a few query shapes.
+func chaosJobs(opts Options, n int) ([]chaosJob, error) {
+	workloads, err := FlinkWorkloads(opts)
+	if err != nil {
+		return nil, err
+	}
+	rates := []float64{3, 7, 5, 9}
+	jobs := make([]chaosJob, 0, n)
+	for i := 0; len(jobs) < n; i++ {
+		w := workloads[i%len(workloads)]
+		rate := rates[(i/len(workloads))%len(rates)]
+		g := w.Graph.Clone()
+		w.SetRate(g, rate)
+		// The index suffix keeps IDs unique past one full
+		// workloads x rates cycle (arbitrary -chaos-jobs values).
+		jobs = append(jobs, chaosJob{
+			id:    fmt.Sprintf("%s#%dx-%d", w.Name, int(rate), i),
+			graph: g,
+		})
+	}
+	return jobs, nil
+}
+
+// chaosEngine builds the simulated client system for one job.
+func chaosEngine(g *dag.Graph, opts Options) (*engine.Engine, error) {
+	cfg := engine.DefaultConfig(engine.Flink)
+	cfg.MeasureTicks = opts.MeasureTicks
+	return engine.New(g, cfg)
+}
+
 // chaosJobState is one tenant's crash-surviving client: the engine and
 // the write-ahead logs live here, never inside the service, so a kill
 // loses only service-side state.
 type chaosJobState struct {
-	job    serviceBenchJob
+	job    chaosJob
 	eng    *engine.Engine
 	recLog []service.Recommendation
 	metLog []*engine.JobMetrics
@@ -108,7 +147,7 @@ var errKilled = errors.New("chaos: injected kill")
 // repeatedly killed and restored, replay-verifying after each kill. The
 // want references are the uninterrupted sequential results; the soak
 // errors on the first bit divergence, so a returned report is a pass.
-func runChaosSoak(pt *streamtune.PreTrained, jobs []serviceBenchJob, opts Options, want []map[string]int, kills int, seed int64) (*ChaosBenchReport, error) {
+func runChaosSoak(pt *streamtune.PreTrained, jobs []chaosJob, opts Options, want []map[string]int, kills int, seed int64) (*ChaosBenchReport, error) {
 	defer faultinject.Reset()
 	dir, err := os.MkdirTemp("", "streamtune-chaos-")
 	if err != nil {
@@ -140,7 +179,7 @@ func runChaosSoak(pt *streamtune.PreTrained, jobs []serviceBenchJob, opts Option
 
 	states := make([]*chaosJobState, len(jobs))
 	for i, job := range jobs {
-		eng, err := benchEngine(job.graph, opts)
+		eng, err := chaosEngine(job.graph, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -377,7 +416,7 @@ func ChaosBench(opts Options, n, kills int, seed int64) (*ChaosBenchReport, erro
 	if err != nil {
 		return nil, err
 	}
-	jobs, err := serviceBenchJobs(opts, n)
+	jobs, err := chaosJobs(opts, n)
 	if err != nil {
 		return nil, err
 	}
@@ -386,7 +425,7 @@ func ChaosBench(opts Options, n, kills int, seed int64) (*ChaosBenchReport, erro
 	// job, no service, no crashes.
 	want := make([]map[string]int, len(jobs))
 	for i, job := range jobs {
-		eng, err := benchEngine(job.graph, opts)
+		eng, err := chaosEngine(job.graph, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -13,12 +13,12 @@ import (
 
 // NNBenchReport is the result of the neural-engine benchmark: the seed
 // eager autodiff paths against the compiled-plan engine (pooled
-// buffers, cached aggregation structures, block-diagonal batching,
-// grad-free inference sessions) on the three model workloads this
-// repository runs — per-cluster GNN pre-training, ZeroTune cost-model
-// training, and the tuner's online-loop inference pattern. Every
-// comparison cross-checks bit-identical results before timing is
-// reported, mirroring BENCH_ged.json.
+// buffers, cached aggregation structures, block-diagonal batching) on
+// the two training workloads this repository runs — per-cluster GNN
+// pre-training and ZeroTune cost-model training. Every comparison
+// cross-checks bit-identical results before timing is reported,
+// mirroring BENCH_ged.json. Online inference is measured by the
+// benchmark (bench/, gnn.infer_us and gnn.distill_us).
 type NNBenchReport struct {
 	CorpusExecutions   int `json:"corpus_executions"`
 	DistinctStructures int `json:"distinct_structures"`
@@ -38,20 +38,7 @@ type NNBenchReport struct {
 	ZeroTuneSeedSeconds float64 `json:"zerotune_seed_seconds"`
 	ZeroTunePlanSeconds float64 `json:"zerotune_plan_seconds"`
 	ZeroTuneSpeedup     float64 `json:"zerotune_speedup"`
-
-	// Online-tuning inference: the distillation pattern of Algorithm 2
-	// (one parallelism-agnostic pass plus a Fibonacci parallelism grid
-	// of predictions per job), eager Forward vs the grad-free
-	// InferSession fast path.
-	InferGraphs      int     `json:"infer_graphs"`
-	InferRounds      int     `json:"infer_rounds"`
-	InferSeedSeconds float64 `json:"infer_seed_seconds"`
-	InferPlanSeconds float64 `json:"infer_plan_seconds"`
-	InferSpeedup     float64 `json:"infer_speedup"`
 }
-
-// nnBenchGrid mirrors the tuner's Fibonacci distillation grid.
-var nnBenchGrid = []int{1, 2, 3, 5, 8, 13, 21, 34, 55, 89}
 
 // NNBench runs the neural-engine benchmark on the shared pre-training
 // corpus.
@@ -131,31 +118,17 @@ func NNBench(opts Options) (*NNBenchReport, error) {
 		r.ZeroTuneSpeedup = r.ZeroTuneSeedSeconds / r.ZeroTunePlanSeconds
 	}
 
-	// --- Online-tuning inference ---
+	// The eager-trained and plan-trained models must agree bit for bit
+	// on both predict engines.
 	workloads, err := FlinkWorkloads(opts)
 	if err != nil {
 		return nil, err
 	}
-	rounds := 30
-	if opts.CorpusSamples < Full().CorpusSamples {
-		rounds = 8
-	}
-	r.InferGraphs = len(workloads)
-	r.InferRounds = rounds
-
-	parFor := func(w Workload, p int) map[string]int {
+	for _, w := range workloads {
 		par := make(map[string]int, w.Graph.NumOperators())
 		for _, op := range w.Graph.Operators() {
-			par[op.ID] = p
+			par[op.ID] = 8
 		}
-		return par
-	}
-
-	// Cross-check bit for bit before timing. ZeroTune first: the
-	// eager-trained and plan-trained models must agree on both predict
-	// engines.
-	for _, w := range workloads {
-		par := parFor(w, 8)
 		want, err := seedModel.PredictDeficitEager(w.Graph, par)
 		if err != nil {
 			return nil, err
@@ -167,83 +140,6 @@ func NNBench(opts Options) (*NNBenchReport, error) {
 		if math.Float64bits(got) != math.Float64bits(want) {
 			return nil, fmt.Errorf("nnbench: %s: plan zerotune model diverged from seed", w.Name)
 		}
-	}
-	// Then the encoder inference session against the seed Forward on
-	// every grid point.
-	for _, w := range workloads {
-		sess, err := planEnc.NewInferSession(w.Graph)
-		if err != nil {
-			return nil, err
-		}
-		aemb, aprobs, err := planEnc.Forward(w.Graph, nil)
-		if err != nil {
-			return nil, err
-		}
-		embs := sess.Embeddings()
-		for i := range embs {
-			row := aemb.Val.Row(i)
-			for j := range row {
-				if math.Float64bits(embs[i][j]) != math.Float64bits(row[j]) {
-					return nil, fmt.Errorf("nnbench: %s: session embedding diverged from seed forward", w.Name)
-				}
-			}
-		}
-		for i := range aprobs.Val.Data {
-			if math.Float64bits(sess.AgnosticProbs()[i]) != math.Float64bits(aprobs.Val.Data[i]) {
-				return nil, fmt.Errorf("nnbench: %s: session probs diverged from seed forward", w.Name)
-			}
-		}
-		for _, p := range nnBenchGrid {
-			par := parFor(w, p)
-			_, want, err := planEnc.Forward(w.Graph, par)
-			if err != nil {
-				return nil, err
-			}
-			got, err := sess.Probs(par)
-			if err != nil {
-				return nil, err
-			}
-			for i := range got {
-				if math.Float64bits(got[i]) != math.Float64bits(want.Val.Data[i]) {
-					return nil, fmt.Errorf("nnbench: %s: grid p=%d diverged from seed forward", w.Name, p)
-				}
-			}
-		}
-	}
-
-	start = time.Now()
-	for round := 0; round < rounds; round++ {
-		for _, w := range workloads {
-			if _, _, err := planEnc.Forward(w.Graph, nil); err != nil {
-				return nil, err
-			}
-			for _, p := range nnBenchGrid {
-				if _, _, err := planEnc.Forward(w.Graph, parFor(w, p)); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	r.InferSeedSeconds = time.Since(start).Seconds()
-
-	start = time.Now()
-	for round := 0; round < rounds; round++ {
-		for _, w := range workloads {
-			sess, err := planEnc.NewInferSession(w.Graph)
-			if err != nil {
-				return nil, err
-			}
-			_ = sess.Embeddings()
-			for _, p := range nnBenchGrid {
-				if _, err := sess.Probs(parFor(w, p)); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	r.InferPlanSeconds = time.Since(start).Seconds()
-	if r.InferPlanSeconds > 0 {
-		r.InferSpeedup = r.InferSeedSeconds / r.InferPlanSeconds
 	}
 	return r, nil
 }
@@ -265,7 +161,5 @@ func NNBenchTable(r *NNBenchReport) *Table {
 	}
 	row("GNN pre-training (batched)", r.PretrainSeedSeconds, r.PretrainPlanSeconds, r.PretrainSpeedup)
 	row("ZeroTune cost-model training", r.ZeroTuneSeedSeconds, r.ZeroTunePlanSeconds, r.ZeroTuneSpeedup)
-	row(fmt.Sprintf("Online inference (%dx%d grid rounds)", r.InferRounds, r.InferGraphs),
-		r.InferSeedSeconds, r.InferPlanSeconds, r.InferSpeedup)
 	return t
 }

@@ -41,11 +41,9 @@ type Metrics struct {
 	mutateSeconds    *telemetry.Histogram
 
 	// checkpointSeconds tracks full checkpoint writes (snapshot + fsync
-	// + rename); batchOccupancy and observeOccupancy the executed batch
-	// sizes of the two coalescers.
+	// + rename); batchOccupancy the executed inference batch sizes.
 	checkpointSeconds *telemetry.Histogram
 	batchOccupancy    *telemetry.Histogram
-	observeOccupancy  *telemetry.Histogram
 
 	// Tuning-core counters: model refits and distillation passes across
 	// all tenants, plus per-tenant reconfiguration and backpressure
@@ -79,8 +77,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		"Checkpoint write latency: registry snapshot, atomic write, rotation.", telemetry.LatencyBuckets)
 	m.batchOccupancy = reg.Histogram("streamtune_batch_occupancy",
 		"Executed inference batch sizes (sessions coalesced per flush).", telemetry.SizeBuckets)
-	m.observeOccupancy = reg.Histogram("streamtune_observe_batch_occupancy",
-		"Executed observe-coalescer flush sizes.", telemetry.SizeBuckets)
 
 	m.tunerFits = reg.Counter("streamtune_tuner_fits_total",
 		"Prediction-model refits across all tenants (fit deduplication makes these sparse).")
@@ -159,12 +155,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		func(s *Service) float64 { _, b, _ := s.batch.counts(); return float64(b) })
 	counter("streamtune_unbatched_sessions_total", "Sessions served from lone flushes or fallbacks.",
 		func(s *Service) float64 { _, _, u := s.batch.counts(); return float64(u) })
-	counter("streamtune_observe_batch_flushes_total", "Executed observe-coalescer flushes.",
-		func(s *Service) float64 { f, _, _ := s.observe.stats(); return float64(f) })
-	counter("streamtune_batched_observations_total", "Observations served from multi-request flushes.",
-		func(s *Service) float64 { _, b, _ := s.observe.stats(); return float64(b) })
-	counter("streamtune_unbatched_observations_total", "Observations served unbatched.",
-		func(s *Service) float64 { _, _, u := s.observe.stats(); return float64(u) })
 
 	gauge("streamtune_workers_in_flight", "Worker-pool tasks executing right now.",
 		func(s *Service) float64 { return float64(s.pool.InFlight()) })
@@ -212,9 +202,7 @@ func (m *Metrics) bind(svc *Service) {
 
 // RequestQuantile reports the q-quantile of one operation's latency
 // histogram in milliseconds (op is register, recommend, observe, or
-// mutate; zero when telemetry is disabled or the op unknown). The
-// service benchmark snapshots these into BENCH_service.json for
-// benchguard's latency ceilings.
+// mutate; zero when telemetry is disabled or the op unknown).
 func (m *Metrics) RequestQuantile(op string, q float64) float64 {
 	h := m.opHistogram(op)
 	return h.Quantile(q) * 1e3

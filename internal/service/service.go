@@ -106,17 +106,6 @@ type Config struct {
 	// registrations shed with ErrOverloaded. Zero or negative means
 	// unbounded. Only meaningful when BatchWindow is positive.
 	MaxPendingInfer int
-	// ObserveBatchWindow coalesces concurrent Observe requests into one
-	// worker-pool task: a request waits up to this long for other
-	// tenants' observations, then the whole batch executes as a single
-	// pooled task. Per-session results are bit-identical to the
-	// unbatched path — only the per-request pool round trip is
-	// amortized. Zero or negative disables coalescing (the default).
-	ObserveBatchWindow time.Duration
-	// MaxObserveBatch caps how many observations one flush may coalesce;
-	// a full queue flushes before its deadline. Values below two default
-	// to 16. Only meaningful when ObserveBatchWindow is positive.
-	MaxObserveBatch int
 	// AdmissionCacheCap bounds the shared admission GED cache (in pairs)
 	// with epoch reset: at the cap the cache drops its map and starts a
 	// fresh epoch, so a 100k-graph soak doesn't hold every pair ever
@@ -244,8 +233,9 @@ type Recommendation struct {
 
 // StatsSchemaVersion is the version of the GET /v1/stats document.
 // Version 2 grouped the former flat counter blob into per-subsystem
-// sections; consumers dispatch on schema_version.
-const StatsSchemaVersion = 2
+// sections; version 3 dropped the observer section. Consumers dispatch
+// on schema_version.
+const StatsSchemaVersion = 3
 
 // Stats is a point-in-time counter snapshot, grouped by subsystem.
 type Stats struct {
@@ -255,7 +245,6 @@ type Stats struct {
 	Batching      BatchingStats   `json:"batching"`
 	Overload      OverloadStats   `json:"overload"`
 	Checkpoint    CheckpointStats `json:"checkpoint"`
-	Observer      ObserverStats   `json:"observer"`
 }
 
 // SessionStats covers the session registry and the tuning protocol.
@@ -337,16 +326,6 @@ type CheckpointStats struct {
 	LastSeq uint64 `json:"last_seq"`
 }
 
-// ObserverStats covers the Observe coalescer.
-type ObserverStats struct {
-	// Flushes counts executed Observe coalescing flushes;
-	// BatchedObservations counts observations served from multi-request
-	// flushes and UnbatchedObservations the rest.
-	Flushes               uint64 `json:"flushes"`
-	BatchedObservations   uint64 `json:"batched_observations"`
-	UnbatchedObservations uint64 `json:"unbatched_observations"`
-}
-
 // Service is the multi-tenant tuning service. Create with New; all
 // methods are safe for concurrent use.
 type Service struct {
@@ -360,9 +339,6 @@ type Service struct {
 	// batch coalesces same-fingerprint target inference across tenants;
 	// nil when Config.BatchWindow disables it.
 	batch *batcher
-	// observe coalesces concurrent Observe-side label harvests into one
-	// pooled task; nil when Config.ObserveBatchWindow disables it.
-	observe *observeBatcher
 	// warmups caches the per-cluster warm-up dataset (cluster id ->
 	// *warmupEntry); ClusterWarmup is a pure function of (artifact,
 	// cluster), so one construction serves every registration.
@@ -452,14 +428,12 @@ func New(pt *streamtune.PreTrained, cfg Config) (*Service, error) {
 	if maxQueue <= 0 {
 		maxQueue = -1 // unbounded waiting room: DoCtx never sheds
 	}
-	pool := parallel.NewBoundedLimiter(cfg.Workers, maxQueue)
 	s := &Service{
 		cfg:          cfg,
 		pt:           pt,
-		pool:         pool,
+		pool:         parallel.NewBoundedLimiter(cfg.Workers, maxQueue),
 		admission:    ged.NewPairCacheCap(cfg.AdmissionCacheCap),
 		batch:        newBatcher(cfg.BatchWindow, cfg.MaxBatch, cfg.MaxPendingInfer),
-		observe:      newObserveBatcher(cfg.ObserveBatchWindow, cfg.MaxObserveBatch, pool),
 		sessions:     make(map[string]*session),
 		warmClusters: make(map[int]bool),
 		log:          slog.New(discardHandler{}),
@@ -471,9 +445,6 @@ func New(pt *streamtune.PreTrained, cfg Config) (*Service, error) {
 		m.bind(s)
 		if s.batch != nil {
 			s.batch.occHist = m.batchOccupancy
-		}
-		if s.observe != nil {
-			s.observe.occHist = m.observeOccupancy
 		}
 	}
 	// A fully constructed service is ready by definition: New returns
@@ -524,7 +495,6 @@ func (s *Service) classify(op string, err error) error {
 // drain-before-snapshot step of a graceful shutdown. Idempotent.
 func (s *Service) Close() {
 	s.batch.close()
-	s.observe.close()
 }
 
 // warmupEntry memoizes one cluster's warm-up dataset (or its
@@ -875,9 +845,7 @@ func (s *Service) Observe(ctx context.Context, id string, m *engine.JobMetrics) 
 		return false, err
 	}
 	defer sess.busy.Add(-1)
-	// The harvest closure runs identically batched or not; the observe
-	// coalescer only decides how many of these share one pooled task.
-	err = s.observe.do(ctx, s.pool, func() error {
+	err = s.pool.DoCtx(ctx, func() error {
 		sess.mu.Lock()
 		defer sess.mu.Unlock()
 		sess.lease = s.cfg.Clock()
@@ -1127,14 +1095,12 @@ func (s *Service) ListJobs(after string, limit int) *JobList {
 	return list
 }
 
-// Stats snapshots the service counters (schema version 2, grouped by
-// subsystem).
+// Stats snapshots the service counters, grouped by subsystem.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	active := len(s.sessions)
 	s.mu.Unlock()
 	_, flushes, batched, single := s.batch.stats()
-	oflushes, obatched, osingle := s.observe.stats()
 	return Stats{
 		SchemaVersion: StatsSchemaVersion,
 		Sessions: SessionStats{
@@ -1176,11 +1142,6 @@ func (s *Service) Stats() Stats {
 			Failures:  s.checkpointFailures.Load(),
 			LastBytes: s.checkpointLastBytes.Load(),
 			LastSeq:   s.checkpointLastSeq.Load(),
-		},
-		Observer: ObserverStats{
-			Flushes:               oflushes,
-			BatchedObservations:   obatched,
-			UnbatchedObservations: osingle,
 		},
 	}
 }

@@ -575,3 +575,28 @@ func TestServiceConcurrentRegistration(t *testing.T) {
 		t.Errorf("ActiveSessions = %d, want 4", got)
 	}
 }
+
+// TestAdmissionCacheCapInStats proves a capped admission cache epoch-
+// resets under pressure and surfaces size/cap/resets through Stats.
+func TestAdmissionCacheCapInStats(t *testing.T) {
+	engCfg := testEngineConfig()
+	s := newTestService(t, Config{Workers: 2, AdmissionCacheCap: 2})
+	for i, q := range []nexmark.Query{nexmark.Q2, nexmark.Q3, nexmark.Q5} {
+		g := targetGraph(t, q, 3)
+		if _, err := s.Register(context.Background(), g.Name+"-cap", g, engCfg); err != nil {
+			t.Fatalf("register %d: %v", i, err)
+		}
+	}
+	st := s.Stats()
+	if st.Admission.CacheCap != 2 {
+		t.Fatalf("AdmissionCacheCap = %d, want 2", st.Admission.CacheCap)
+	}
+	if st.Admission.CacheSize > 2 {
+		t.Fatalf("AdmissionCacheSize = %d exceeds cap", st.Admission.CacheSize)
+	}
+	// Three distinct structures against >= 1 center exceed two pairs, so
+	// at least one epoch reset must have fired.
+	if st.Admission.CacheResets == 0 {
+		t.Fatalf("no epoch resets despite cap pressure: %+v", st)
+	}
+}

@@ -238,10 +238,10 @@ func TestMetricsHelpersZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestStatsV2Shape locks the /v1/stats document: schema_version 2 with
-// the six grouped sections, decoded generically so a renamed or
-// flattened field fails loudly.
-func TestStatsV2Shape(t *testing.T) {
+// TestStatsV3Shape locks the /v1/stats document: schema_version 3 with
+// the five grouped sections and no observer section, decoded generically
+// so a renamed or flattened field fails loudly.
+func TestStatsV3Shape(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Metrics = NewMetrics(telemetry.NewRegistry())
 	s := newTestService(t, cfg)
@@ -258,10 +258,13 @@ func TestStatsV2Shape(t *testing.T) {
 		t.Fatalf("stats status = %d", status)
 	}
 	var version int
-	if err := json.Unmarshal(doc["schema_version"], &version); err != nil || version != StatsSchemaVersion {
-		t.Fatalf("schema_version = %s (err %v), want %d", doc["schema_version"], err, StatsSchemaVersion)
+	if err := json.Unmarshal(doc["schema_version"], &version); err != nil || version != 3 {
+		t.Fatalf("schema_version = %s (err %v), want 3", doc["schema_version"], err)
 	}
-	for _, section := range []string{"sessions", "admission", "batching", "overload", "checkpoint", "observer"} {
+	if _, ok := doc["observer"]; ok {
+		t.Error("stats document still carries the observer section")
+	}
+	for _, section := range []string{"sessions", "admission", "batching", "overload", "checkpoint"} {
 		raw, ok := doc[section]
 		if !ok {
 			t.Errorf("stats document missing section %q", section)

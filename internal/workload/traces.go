@@ -90,8 +90,9 @@ func SkewedTrace(seed int64, n int) Trace {
 	return Trace{Name: "skewed", Multipliers: out}
 }
 
-// ScenarioTraces returns the scenario-bench trace set for one seed, in
-// stable order.
+// ScenarioTraces returns the adversarial trace set (bursty, diurnal,
+// skewed) for one seed, in stable order; the benchmark's rate-trace
+// workload replays it.
 func ScenarioTraces(seed int64, n int) []Trace {
 	return []Trace{
 		BurstyTrace(seed, n),
