@@ -48,6 +48,9 @@ func validate(samples []Sample) error {
 		return fmt.Errorf("mono: no training samples")
 	}
 	d := len(samples[0].Embedding)
+	if d == 0 {
+		return fmt.Errorf("mono: zero-dimension embeddings")
+	}
 	var have0, have1 bool
 	for i, s := range samples {
 		if len(s.Embedding) != d {
@@ -76,17 +79,32 @@ func validate(samples []Sample) error {
 // For non-monotonic models the binary search is still performed — this
 // reproduces the paper's ablation, where the unconstrained NN's
 // recommendations become unreliable.
+//
+// A fitted SVM computes the embedding's feature row once for the whole
+// search; each probe is then one dot product, with the same result as
+// Predict.
 func MinNonBottleneck(m Model, emb []float64, pmax int, threshold float64) int {
 	if pmax < 1 {
 		return 1
 	}
-	if m.Predict(emb, pmax) >= threshold {
+	if s, ok := m.(*SVM); ok && s.we != nil {
+		var z [numFeatures]float64
+		s.row(&z, emb)
+		return minBelow(pmax, threshold, func(p int) float64 { return s.probability(&z, p) })
+	}
+	return minBelow(pmax, threshold, func(p int) float64 { return m.Predict(emb, p) })
+}
+
+// minBelow binary-searches [1, pmax] for the least p with predict(p) <
+// threshold, returning pmax when even predict(pmax) is not below it.
+func minBelow(pmax int, threshold float64, predict func(p int) float64) int {
+	if predict(pmax) >= threshold {
 		return pmax
 	}
-	lo, hi := 1, pmax // invariant: Predict(hi) < threshold
+	lo, hi := 1, pmax // invariant: predict(hi) < threshold
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if m.Predict(emb, mid) < threshold {
+		if predict(mid) < threshold {
 			hi = mid
 		} else {
 			lo = mid + 1

@@ -87,6 +87,15 @@ func TestValidateRejectsBadData(t *testing.T) {
 	if err := m.Fit(badLabel); err == nil {
 		t.Fatal("expected bad-label error")
 	}
+	zeroDim := []Sample{
+		{Embedding: []float64{}, Parallelism: 1, Label: 0},
+		{Embedding: nil, Parallelism: 2, Label: 1},
+	}
+	for _, zm := range []Model{m, NewXGB(100, 1), NewNN(100, 1)} {
+		if err := zm.Fit(zeroDim); err == nil {
+			t.Fatalf("%s: expected zero-dimension error", zm.Name())
+		}
+	}
 }
 
 func TestUntrainedPredicts50(t *testing.T) {

@@ -200,37 +200,6 @@ func (m *Metrics) bind(svc *Service) {
 	}
 }
 
-// RequestQuantile reports the q-quantile of one operation's latency
-// histogram in milliseconds (op is register, recommend, observe, or
-// mutate; zero when telemetry is disabled or the op unknown).
-func (m *Metrics) RequestQuantile(op string, q float64) float64 {
-	h := m.opHistogram(op)
-	return h.Quantile(q) * 1e3
-}
-
-// RequestCount reports the observation count of one operation's latency
-// histogram.
-func (m *Metrics) RequestCount(op string) uint64 {
-	return m.opHistogram(op).Count()
-}
-
-func (m *Metrics) opHistogram(op string) *telemetry.Histogram {
-	if m == nil {
-		return nil
-	}
-	switch op {
-	case "register":
-		return m.registerSeconds
-	case "recommend":
-		return m.recommendSeconds
-	case "observe":
-		return m.observeSeconds
-	case "mutate":
-		return m.mutateSeconds
-	}
-	return nil
-}
-
 // sinceRegister (and siblings) observe one completed operation's
 // latency; all are nil-safe so call sites need no telemetry branches:
 //

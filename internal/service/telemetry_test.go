@@ -438,28 +438,3 @@ func TestOpsHandler(t *testing.T) {
 		t.Errorf("ops POST /v1/jobs status = %d, want 404", resp.StatusCode)
 	}
 }
-
-// TestRequestQuantile sanity-checks the benchmark-facing summary
-// accessors against a scrape of the same histogram.
-func TestRequestQuantile(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Metrics = NewMetrics(telemetry.NewRegistry())
-	s := newTestService(t, cfg)
-	g := targetGraph(t, nexmark.Q3, 3)
-	if _, err := s.Register(context.Background(), "q", g, testEngineConfig()); err != nil {
-		t.Fatal(err)
-	}
-	if n := cfg.Metrics.RequestCount("register"); n != 1 {
-		t.Fatalf("RequestCount(register) = %d, want 1", n)
-	}
-	p99 := cfg.Metrics.RequestQuantile("register", 0.99)
-	if p99 <= 0 {
-		t.Errorf("RequestQuantile(register, 0.99) = %v, want > 0", p99)
-	}
-	if n := cfg.Metrics.RequestCount("no-such-op"); n != 0 {
-		t.Errorf("RequestCount(no-such-op) = %d, want 0", n)
-	}
-	if q := cfg.Metrics.RequestQuantile("no-such-op", 0.5); q != 0 {
-		t.Errorf("RequestQuantile(no-such-op) = %v, want 0", q)
-	}
-}
